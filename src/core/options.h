@@ -97,6 +97,10 @@ struct RefineOptions {
   double replay_relaxation_distance = 1.0;
   FailEvalMode fail_eval = FailEvalMode::kLazy;
   // Save/restore function states (memoized bounds) at fails (§4.2).
+  // Only functions whose bound lookups are charged (estimate_cost_ns > 0)
+  // or shared (a SharedBoundsMemo attached) memoize, and so have state
+  // to save: an uncharged synopsis bound is an O(1) read, cheaper than
+  // the memo that would save it (see searchlight::BoundsCache).
   bool save_function_state = true;
   // Run speculative relaxation solvers while the main search is still in
   // progress and the validators are idle (§4.2).

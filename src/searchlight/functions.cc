@@ -18,27 +18,6 @@ constexpr int kKindValue = 0;
 constexpr int kKindMax = 1;
 constexpr int kKindMin = 2;
 
-void BusyWait(int64_t ns) {
-  if (ns <= 0) return;
-  const auto start = std::chrono::steady_clock::now();
-  while (std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now() - start)
-             .count() < ns) {
-  }
-}
-
-// Charges one cache miss: spin for CPU-bound estimation, sleep for
-// latency-bound (I/O) estimation. Sleeping yields the core, so concurrent
-// misses on different threads overlap — see WindowFunctionContext.
-void ChargeCost(int64_t ns, bool latency) {
-  if (ns <= 0) return;
-  if (latency) {
-    std::this_thread::sleep_for(std::chrono::nanoseconds(ns));
-    return;
-  }
-  BusyWait(ns);
-}
-
 // Picks the default value range for a contrast function: differences of
 // values within the global range span [0, range width].
 WindowFunctionContext WithContrastDefaultRange(WindowFunctionContext ctx) {
@@ -51,8 +30,32 @@ WindowFunctionContext WithContrastDefaultRange(WindowFunctionContext ctx) {
 
 }  // namespace
 
+void ChargeEstimateCost(int64_t ns, bool latency) {
+  if (ns <= 0) return;
+  if (latency) {
+    std::this_thread::sleep_for(std::chrono::nanoseconds(ns));
+    return;
+  }
+  const auto start = std::chrono::steady_clock::now();
+  while (std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now() - start)
+             .count() < ns) {
+  }
+}
+
 // ---------------------------------------------------------------------
 // BoundsCache
+
+BoundsCache BoundsCache::ForFunction(int64_t cost_ns, bool latency,
+                                     cache::SharedBoundsMemo* shared,
+                                     uint64_t shared_space) {
+  BoundsCache cache;
+  cache.memoize_ = cost_ns > 0 || shared != nullptr;
+  cache.cost_ns_ = cost_ns;
+  cache.cost_is_latency_ = latency;
+  if (shared != nullptr) cache.AttachShared(shared, shared_space);
+  return cache;
+}
 
 class BoundsCache::Snapshot : public cp::FunctionState {
  public:
@@ -203,15 +206,16 @@ void BoundsCache::Clear() {
 // WindowFunction
 
 WindowFunction::WindowFunction(WindowFunctionContext ctx)
-    : ctx_(std::move(ctx)) {
+    : ctx_(std::move(ctx)),
+      cache_(BoundsCache::ForFunction(ctx_.estimate_cost_ns,
+                                      ctx_.cost_is_latency,
+                                      ctx_.shared_memo,
+                                      ctx_.shared_memo_key)) {
   DQR_CHECK(ctx_.array != nullptr && ctx_.synopsis != nullptr);
   DQR_CHECK(ctx_.x_var != ctx_.len_var);
   value_range_ = ctx_.value_range.empty()
                      ? ctx_.synopsis->global_value_range()
                      : ctx_.value_range;
-  if (ctx_.shared_memo != nullptr) {
-    cache_.AttachShared(ctx_.shared_memo, ctx_.shared_memo_key);
-  }
 }
 
 std::unique_ptr<cp::FunctionState> WindowFunction::SaveState(
@@ -220,7 +224,6 @@ std::unique_ptr<cp::FunctionState> WindowFunction::SaveState(
   // node's estimate derived (the search checks constraints on `box` right
   // before a fail is recorded), so no box-based filtering is needed.
   (void)box;
-  if (cache_.size() == 0) return nullptr;
   return cache_.SaveRecent();
 }
 
@@ -265,35 +268,19 @@ int WindowFunction::EstimateLevel(const std::vector<int64_t>& point) const {
   return static_cast<int>(ctx_.synopsis->PickLevelIndex(x, hi));
 }
 
-void WindowFunction::ChargeMiss() const {
-  ChargeCost(ctx_.estimate_cost_ns, ctx_.cost_is_latency);
-}
-
 Interval WindowFunction::CachedValueBounds(int64_t lo, int64_t hi) {
-  if (const Interval* hit = cache_.Find(kKindValue, lo, hi)) return *hit;
-  const obs::ScopedSinkTimer bound_timer;
-  ChargeMiss();
-  const Interval result = ctx_.synopsis->ValueBounds(lo, hi);
-  cache_.Insert(kKindValue, lo, hi, result);
-  return result;
+  return cache_.GetOrCompute(kKindValue, lo, hi,
+                             [&] { return synopsis().ValueBounds(lo, hi); });
 }
 
 Interval WindowFunction::CachedMaxBounds(int64_t lo, int64_t hi) {
-  if (const Interval* hit = cache_.Find(kKindMax, lo, hi)) return *hit;
-  const obs::ScopedSinkTimer bound_timer;
-  ChargeMiss();
-  const Interval result = ctx_.synopsis->MaxBounds(lo, hi);
-  cache_.Insert(kKindMax, lo, hi, result);
-  return result;
+  return cache_.GetOrCompute(kKindMax, lo, hi,
+                             [&] { return synopsis().MaxBounds(lo, hi); });
 }
 
 Interval WindowFunction::CachedMinBounds(int64_t lo, int64_t hi) {
-  if (const Interval* hit = cache_.Find(kKindMin, lo, hi)) return *hit;
-  const obs::ScopedSinkTimer bound_timer;
-  ChargeMiss();
-  const Interval result = ctx_.synopsis->MinBounds(lo, hi);
-  cache_.Insert(kKindMin, lo, hi, result);
-  return result;
+  return cache_.GetOrCompute(kKindMin, lo, hi,
+                             [&] { return synopsis().MinBounds(lo, hi); });
 }
 
 Interval WindowFunction::MaxOverWindows(int64_t s_lo, int64_t s_hi,
@@ -338,7 +325,7 @@ Interval AvgFunction::Estimate(const cp::DomainBox& box) {
     // Window sums are keyed by (x, l) pairs that rarely repeat, so they
     // are not memoized; the estimation cost is charged directly.
     const obs::ScopedSinkTimer bound_timer;
-    ChargeMiss();
+    ChargeEstimateCost(ctx().estimate_cost_ns, ctx().cost_is_latency);
     return synopsis().AvgBounds(w.x_lo, hi);
   }
   return CachedValueBounds(w.span_lo, w.span_hi);

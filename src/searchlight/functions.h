@@ -12,6 +12,7 @@
 #include "array/array.h"
 #include "common/interval.h"
 #include "cp/function.h"
+#include "obs/histogram.h"
 #include "synopsis/synopsis.h"
 
 namespace dqr::cache {
@@ -20,11 +21,21 @@ class SharedBoundsMemo;
 
 namespace dqr::searchlight {
 
+// Charges `ns` of modeled cost for one uncached lookup: spins, or sleeps
+// when `latency` (see WindowFunctionContext::cost_is_latency).
+void ChargeEstimateCost(int64_t ns, bool latency);
+
 // Memoized window-bound lookups shared by the aggregate functions below.
 // Keys are (lo, hi) windows; values are synopsis intervals together with
 // the "support" information that makes re-derivation unnecessary. This is
 // the state captured by the UDF-state-saving optimization (§4.2): fails
 // snapshot the cache, replays restore it and skip recomputation.
+//
+// A synopsis bound is an O(1) read, cheaper than the probe, insert and
+// eviction that would memoize it, so a function memoizes only when its
+// lookups are *charged* (modeled estimation cost > 0) or *shared* (an
+// attached SharedBoundsMemo); otherwise its cache is a pass-through that
+// stays empty, saves nothing at fails and counts nothing.
 //
 // Eviction is second-chance FIFO: when the cache is full, the oldest
 // entry is evicted — unless it sits in the recency ring, in which case it
@@ -38,6 +49,13 @@ class BoundsCache {
   class Snapshot;
 
   explicit BoundsCache(size_t capacity = 4096) : capacity_(capacity) {}
+
+  // The cache of a window or rectangle function whose lookups cost
+  // `cost_ns` (see ChargeEstimateCost): memoizing, behind `shared` when
+  // non-null, if charged or shared; else a pass-through.
+  static BoundsCache ForFunction(int64_t cost_ns, bool latency,
+                                 cache::SharedBoundsMemo* shared,
+                                 uint64_t shared_space);
 
   // Attaches the process-wide cross-query memo as an L2 behind this
   // cache: local misses probe it under `space` before recomputing, and
@@ -55,6 +73,23 @@ class BoundsCache {
   // is adopted locally without republishing.
   const Interval* Find(int kind, int64_t lo, int64_t hi);
   void Insert(int kind, int64_t lo, int64_t hi, const Interval& value);
+
+  // The memoized bounds for (kind, lo, hi), else `read()` — charged the
+  // lookup cost and timed by the sampled bound-latency sink — memoized.
+  template <typename Read>
+  Interval GetOrCompute(int kind, int64_t lo, int64_t hi, Read&& read) {
+    if (memoize_) {
+      if (const Interval* hit = Find(kind, lo, hi)) return *hit;
+    }
+    Interval result;
+    {
+      const obs::ScopedSinkTimer bound_timer;
+      ChargeEstimateCost(cost_ns_, cost_is_latency_);
+      result = read();
+    }
+    if (memoize_) Insert(kind, lo, hi, result);
+    return result;
+  }
 
   // Snapshot of the recently touched entries — the window bounds (with
   // their support information) that the most recent Estimate calls used.
@@ -95,6 +130,9 @@ class BoundsCache {
   void EvictOne();
 
   size_t capacity_;
+  bool memoize_ = true;
+  int64_t cost_ns_ = 0;
+  bool cost_is_latency_ = false;
   cache::SharedBoundsMemo* shared_ = nullptr;
   uint64_t shared_space_ = 0;
   std::unordered_map<Key, Interval, KeyHash> map_;
@@ -122,7 +160,8 @@ struct WindowFunctionContext {
   Interval value_range = Interval::Empty();
   // Artificial per-synopsis-lookup cost in ns on cache misses; models
   // expensive UDF estimation so that the optimizations of §4.2 reproduce
-  // their measured effects at laptop scale. 0 by default.
+  // their measured effects at laptop scale. 0 by default. Only charged
+  // (> 0) or shared lookups are memoized and saved at fails (BoundsCache).
   int64_t estimate_cost_ns = 0;
   // How the miss cost is charged. false (default) spins, modeling
   // CPU-bound estimation. true sleeps, modeling latency-bound misses
@@ -182,9 +221,6 @@ class WindowFunction : public cp::ConstraintFunction {
   Interval CachedValueBounds(int64_t lo, int64_t hi);
   Interval CachedMaxBounds(int64_t lo, int64_t hi);
   Interval CachedMinBounds(int64_t lo, int64_t hi);
-
-  // Charges the artificial estimation cost of one uncached lookup.
-  void ChargeMiss() const;
 
   int64_t array_length() const { return ctx_.array->length(); }
   const array::Array& array() const { return *ctx_.array; }

@@ -3,7 +3,6 @@
 #include "obs/histogram.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
 #include "common/check.h"
@@ -15,15 +14,6 @@ namespace {
 // live in separate function instances anyway).
 constexpr int kKindRectValue = 10;
 constexpr int kKindRectMax = 11;
-
-void BusyWait(int64_t ns) {
-  if (ns <= 0) return;
-  const auto start = std::chrono::steady_clock::now();
-  while (std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now() - start)
-             .count() < ns) {
-  }
-}
 
 // Packs a rectangle into the BoundsCache's (lo, hi) key pair. Extents are
 // checked to fit 31 bits at construction.
@@ -40,22 +30,21 @@ GridFunctionContext WithContrastDefaultRange(GridFunctionContext ctx) {
 }  // namespace
 
 RectFunction::RectFunction(GridFunctionContext ctx)
-    : ctx_(std::move(ctx)) {
+    : ctx_(std::move(ctx)),
+      cache_(BoundsCache::ForFunction(ctx_.estimate_cost_ns,
+                                      /*latency=*/false, ctx_.shared_memo,
+                                      ctx_.shared_memo_key)) {
   DQR_CHECK(ctx_.grid != nullptr && ctx_.synopsis != nullptr);
   DQR_CHECK(ctx_.grid->rows() < (int64_t{1} << 31) &&
             ctx_.grid->cols() < (int64_t{1} << 31));
   value_range_ = ctx_.value_range.empty()
                      ? ctx_.synopsis->global_value_range()
                      : ctx_.value_range;
-  if (ctx_.shared_memo != nullptr) {
-    cache_.AttachShared(ctx_.shared_memo, ctx_.shared_memo_key);
-  }
 }
 
 std::unique_ptr<cp::FunctionState> RectFunction::SaveState(
     const cp::DomainBox& box) const {
   (void)box;
-  if (cache_.size() == 0) return nullptr;
   return cache_.SaveRecent();
 }
 
@@ -111,34 +100,18 @@ int RectFunction::EstimateLevel(const std::vector<int64_t>& point) const {
   return static_cast<int>(ctx_.synopsis->PickLevelIndex(y, r1, x, c1));
 }
 
-void RectFunction::ChargeMiss() const { BusyWait(ctx_.estimate_cost_ns); }
-
 Interval RectFunction::CachedValueBounds(int64_t r0, int64_t r1,
                                          int64_t c0, int64_t c1) {
-  const int64_t klo = Pack(r0, r1);
-  const int64_t khi = Pack(c0, c1);
-  if (const Interval* hit = cache_.Find(kKindRectValue, klo, khi)) {
-    return *hit;
-  }
-  const obs::ScopedSinkTimer bound_timer;
-  ChargeMiss();
-  const Interval result = ctx_.synopsis->ValueBounds(r0, r1, c0, c1);
-  cache_.Insert(kKindRectValue, klo, khi, result);
-  return result;
+  return cache_.GetOrCompute(
+      kKindRectValue, Pack(r0, r1), Pack(c0, c1),
+      [&] { return synopsis().ValueBounds(r0, r1, c0, c1); });
 }
 
 Interval RectFunction::CachedMaxBounds(int64_t r0, int64_t r1, int64_t c0,
                                        int64_t c1) {
-  const int64_t klo = Pack(r0, r1);
-  const int64_t khi = Pack(c0, c1);
-  if (const Interval* hit = cache_.Find(kKindRectMax, klo, khi)) {
-    return *hit;
-  }
-  const obs::ScopedSinkTimer bound_timer;
-  ChargeMiss();
-  const Interval result = ctx_.synopsis->MaxBounds(r0, r1, c0, c1);
-  cache_.Insert(kKindRectMax, klo, khi, result);
-  return result;
+  return cache_.GetOrCompute(
+      kKindRectMax, Pack(r0, r1), Pack(c0, c1),
+      [&] { return synopsis().MaxBounds(r0, r1, c0, c1); });
 }
 
 Interval RectFunction::MaxOverRects(int64_t y_lo, int64_t y_hi,
@@ -192,7 +165,7 @@ Interval RectAvgFunction::Estimate(const cp::DomainBox& box) {
     const int64_t c1 = std::min(grid_cols(), r.x_lo + r.w_lo);
     DQR_CHECK(r1 > r.y_lo && c1 > r.x_lo);
     const obs::ScopedSinkTimer bound_timer;
-    ChargeMiss();
+    ChargeEstimateCost(ctx().estimate_cost_ns, /*latency=*/false);
     return synopsis().AvgBounds(r.y_lo, r1, r.x_lo, c1);
   }
   return CachedValueBounds(r.y_lo, r.span_r1, r.x_lo, r.span_c1);

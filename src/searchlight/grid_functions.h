@@ -27,7 +27,8 @@ struct GridFunctionContext {
   int w_var = 3;
   // Static range of the function value; empty => synopsis global range.
   Interval value_range = Interval::Empty();
-  // Artificial per-uncached-lookup cost, as in WindowFunctionContext.
+  // Artificial per-uncached-lookup cost, as in WindowFunctionContext;
+  // > 0 (or a shared memo) makes the function memoize its lookups.
   int64_t estimate_cost_ns = 0;
   // Optional cross-query shared bounds memo (L2), as in
   // WindowFunctionContext. Clones inherit the attachment.
@@ -35,11 +36,12 @@ struct GridFunctionContext {
   uint64_t shared_memo_key = 0;
 };
 
-// Base class for 2-D rectangle aggregates: geometry, memoized synopsis
-// lookups (rect-keyed), and fail-time state snapshots — the 2-D
-// counterpart of WindowFunction. The refinement framework above is
-// dimension-agnostic; these functions are all it takes to run the full
-// relax/constrain machinery on Searchlight's multidimensional workloads.
+// Base class for 2-D rectangle aggregates: geometry, synopsis lookups
+// (rect-keyed, memoized when charged or shared), and fail-time state
+// snapshots — the 2-D counterpart of WindowFunction. The refinement
+// framework above is dimension-agnostic; these functions are all it
+// takes to run the full relax/constrain machinery on Searchlight's
+// multidimensional workloads.
 class RectFunction : public cp::ConstraintFunction {
  public:
   explicit RectFunction(GridFunctionContext ctx);
@@ -79,8 +81,6 @@ class RectFunction : public cp::ConstraintFunction {
   Interval CachedValueBounds(int64_t r0, int64_t r1, int64_t c0,
                              int64_t c1);
   Interval CachedMaxBounds(int64_t r0, int64_t r1, int64_t c0, int64_t c1);
-
-  void ChargeMiss() const;
 
   int64_t grid_rows() const { return ctx_.grid->rows(); }
   int64_t grid_cols() const { return ctx_.grid->cols(); }

@@ -144,7 +144,11 @@ Status ParseFramePayload(const std::string& payload, Frame* out) {
       return InvalidArgumentError(
           "frame header: empty token (doubled or leading space)");
     }
+    // Tokens are re-checked with the encoder's rule, so every frame the
+    // decoder accepts encodes again (a '\r' inside a token would not).
     if (!have_type) {
+      Status st = CheckToken(token, "type");
+      if (!st.ok()) return st;
       frame.type = token;
       have_type = true;
     } else {
@@ -154,8 +158,12 @@ Status ParseFramePayload(const std::string& payload, Frame* out) {
         return InvalidArgumentError("frame header: attribute '" + token +
                                     "' missing '='");
       }
-      frame.attrs.emplace_back(token.substr(0, eq),
-                               token.substr(eq + 1));
+      std::string key = token.substr(0, eq);
+      std::string value = token.substr(eq + 1);
+      Status st = CheckToken(key, "attribute key");
+      if (st.ok()) st = CheckToken(value, "attribute value");
+      if (!st.ok()) return st;
+      frame.attrs.emplace_back(std::move(key), std::move(value));
     }
     if (sp == header.size()) break;
     pos = sp + 1;

@@ -25,7 +25,8 @@ namespace dqr::serve {
 // key=value attributes. Everything after that newline is the opaque
 // body (query text, canonical result lines, Prometheus text, Chrome
 // JSON). Type tokens, keys and values must be non-empty and free of
-// spaces and newlines; the body has no character restrictions.
+// spaces, '\n' and '\r' (encoder and decoder reject the same tokens);
+// the body has no character restrictions.
 //
 // The conversation (client frames -> server frames):
 //   HELLO tenant=t             -> WELCOME tenant=t proto=1
@@ -38,6 +39,9 @@ namespace dqr::serve {
 //   PROFILE id=q               -> PROFILE (body: profile JSON, see
 //                                 obs/profile.h)
 //   BYE                        -> BYE, connection closes
+// A reply whose payload would exceed kMaxFramePayload (a large TRACE
+// export, say) is answered with ERROR code=too_large instead; the
+// connection stays usable.
 // Every server frame about a query carries its id= attribute, so a
 // client may pipeline queries on one connection.
 
@@ -126,7 +130,9 @@ class FrameReader {
 };
 
 // Splits a decoded payload (header line + body) into a frame — the
-// decoder's parsing stage, exposed for tests.
+// decoder's parsing stage, exposed for tests. Rejects exactly the header
+// tokens EncodeFrame rejects, with its messages, so every frame it
+// accepts re-encodes to the same payload.
 Status ParseFramePayload(const std::string& payload, Frame* out);
 
 }  // namespace dqr::serve

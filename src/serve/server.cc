@@ -34,6 +34,7 @@ constexpr char kErrNotFound[] = "not_found";  // unknown dataset/query id
 constexpr char kErrBudget[] = "budget";       // tenant budget rejection
 constexpr char kErrOverload[] = "overload";   // shutdown/cancelled
 constexpr char kErrEngine[] = "engine";       // ExecuteQuery failed
+constexpr char kErrTooLarge[] = "too_large";  // reply over kMaxFramePayload
 
 bool WriteAll(int fd, const std::string& data) {
   size_t off = 0;
@@ -875,8 +876,18 @@ void Server::SendFrame(const std::shared_ptr<Connection>& conn,
                        const Frame& frame) {
   Result<std::string> wire = EncodeFrame(frame);
   if (!wire.ok()) {
-    DQR_LOG(kWarning) << "dqr_serve: dropping unencodable " << frame.type
-                  << " frame: " << wire.status().ToString();
+    // Every header token is either the server's own or came through the
+    // decoder, which rejects exactly what the encoder rejects, so only an
+    // oversized body fails here (a large TRACE export, say). Answer the
+    // request with an ERROR rather than leave its client waiting forever.
+    DQR_LOG(kWarning) << "dqr_serve: cannot send " << frame.type
+                      << " frame: " << wire.status().ToString();
+    if (frame.type != frame::kError) {
+      const std::string* id = frame.Get("id");
+      SendError(conn, id != nullptr ? *id : "-", kErrTooLarge,
+                frame.type + " reply cannot be sent: " +
+                    wire.status().message());
+    }
     return;
   }
   bool sent = false;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -23,6 +24,14 @@ struct Fixture {
     ctx.synopsis = synopsis;
     ctx.x_var = 0;
     ctx.len_var = 1;
+    return ctx;
+  }
+
+  // A charged lookup: the function memoizes its window bounds and saves
+  // them at fails (uncharged functions read the synopsis directly).
+  WindowFunctionContext ChargedCtx() const {
+    WindowFunctionContext ctx = Ctx();
+    ctx.estimate_cost_ns = 1;
     return ctx;
   }
 };
@@ -156,7 +165,7 @@ TEST(FunctionsTest, BoundWindowEstimatesAreTighterThanRootEstimates) {
 
 TEST(FunctionsTest, StateSaveRestoreRoundTrip) {
   Fixture f = MakeFixture(256, 41);
-  MaxFunction mx(f.Ctx());
+  MaxFunction mx(f.ChargedCtx());
   const cp::DomainBox box = {cp::IntDomain(50, 80), cp::IntDomain(4, 8)};
   const Interval before = mx.Estimate(box);
 
@@ -179,7 +188,7 @@ TEST(FunctionsTest, SaveStateStaysSmallUnderHeavyUse) {
   // so their size stays bounded no matter how much the search estimated —
   // the paper reports ~80 bytes per saved aggregate state.
   Fixture f = MakeFixture(512, 43);
-  MaxFunction mx(f.Ctx());
+  MaxFunction mx(f.ChargedCtx());
   Rng rng(3);
   for (int i = 0; i < 500; ++i) {
     const int64_t lo = rng.UniformInt(0, 480);
@@ -243,7 +252,7 @@ TEST(BoundsCacheTest, RecentlyTouchedEntriesSurviveEviction) {
 
 TEST(BoundsCacheTest, SaveRecentSurvivesInsertStorm) {
   Fixture f = MakeFixture(512, 43);
-  MaxFunction mx(f.Ctx());
+  MaxFunction mx(f.ChargedCtx());
   const cp::DomainBox box = {cp::IntDomain(50, 80), cp::IntDomain(4, 8)};
   const Interval before = mx.Estimate(box);
   auto state = mx.SaveState(box);
@@ -296,13 +305,82 @@ TEST(BoundsCacheTest, StatsCountHitsAndMisses) {
 
 TEST(FunctionsTest, MemoStatsExposeCacheCounters) {
   Fixture f = MakeFixture(256, 77);
-  MaxFunction mx(f.Ctx());
+  MaxFunction mx(f.ChargedCtx());
   const cp::DomainBox box = {cp::IntDomain(10, 40), cp::IntDomain(4, 8)};
   (void)mx.Estimate(box);
   (void)mx.Estimate(box);  // same box: pure cache hits
   const cp::FunctionMemoStats stats = mx.memo_stats();
   EXPECT_GT(stats.misses, 0);
   EXPECT_GT(stats.hits, 0);
+}
+
+bool SameBits(const Interval& a, const Interval& b) {
+  return std::memcmp(&a.lo, &b.lo, sizeof(double)) == 0 &&
+         std::memcmp(&a.hi, &b.hi, sizeof(double)) == 0;
+}
+
+bool IsZero(const cp::FunctionMemoStats& s) {
+  return s.hits == 0 && s.misses == 0 && s.evictions == 0 &&
+         s.restore_evictions == 0 && s.shared_hits == 0 &&
+         s.shared_misses == 0 && s.shared_evictions == 0;
+}
+
+// An uncharged function reads the synopsis directly; a charged one
+// memoizes. Both must produce bit-identical estimates for every kind, on
+// repeated boxes (memo hits), fresh boxes (misses) and after fail-state
+// save/clear/restore cycles; the uncharged one keeps no state at all.
+TEST(FunctionsTest, DirectReadMatchesMemoizedBitForBit) {
+  for (uint64_t seed : {3u, 17u, 29u}) {
+    Fixture f = MakeFixture(400, seed);
+    const auto make = [](const WindowFunctionContext& ctx) {
+      std::vector<std::unique_ptr<cp::ConstraintFunction>> fns;
+      fns.push_back(std::make_unique<AvgFunction>(ctx));
+      fns.push_back(std::make_unique<MaxFunction>(ctx));
+      fns.push_back(std::make_unique<MinFunction>(ctx));
+      fns.push_back(std::make_unique<NeighborhoodContrastFunction>(
+          ctx, NeighborhoodContrastFunction::Side::kLeft, 7));
+      fns.push_back(std::make_unique<NeighborhoodContrastFunction>(
+          ctx, NeighborhoodContrastFunction::Side::kRight, 7));
+      return fns;
+    };
+    auto direct = make(f.Ctx());
+    auto memo = make(f.ChargedCtx());
+
+    // A small pool of boxes, drawn with replacement, so lookups repeat.
+    Rng rng(seed * 7919);
+    std::vector<cp::DomainBox> pool;
+    for (int i = 0; i < 40; ++i) {
+      const int64_t x_lo = rng.UniformInt(0, 399);
+      const int64_t x_hi =
+          rng.Bernoulli(0.3)
+              ? x_lo
+              : rng.UniformInt(x_lo, std::min<int64_t>(399, x_lo + 60));
+      const int64_t l_lo = rng.UniformInt(1, 24);
+      const int64_t l_hi = rng.Bernoulli(0.3) ? l_lo : l_lo + 16;
+      pool.push_back({cp::IntDomain(x_lo, x_hi), cp::IntDomain(l_lo, l_hi)});
+    }
+    for (int iter = 0; iter < 400; ++iter) {
+      const cp::DomainBox& box =
+          pool[static_cast<size_t>(rng.UniformInt(0, 39))];
+      for (size_t k = 0; k < direct.size(); ++k) {
+        const Interval a = direct[k]->Estimate(box);
+        const Interval b = memo[k]->Estimate(box);
+        ASSERT_TRUE(SameBits(a, b))
+            << memo[k]->name() << " seed=" << seed << " iter=" << iter
+            << " direct=" << a.ToString() << " memo=" << b.ToString();
+        EXPECT_EQ(direct[k]->SaveState(box), nullptr) << direct[k]->name();
+        if (iter % 50 == 49) {
+          auto state = memo[k]->SaveState(box);
+          memo[k]->ClearState();
+          if (state != nullptr) memo[k]->RestoreState(*state);
+        }
+      }
+    }
+    for (size_t k = 0; k < direct.size(); ++k) {
+      EXPECT_TRUE(IsZero(direct[k]->memo_stats())) << direct[k]->name();
+      EXPECT_GT(memo[k]->memo_stats().hits, 0) << memo[k]->name();
+    }
+  }
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <vector>
 
 #include "common/rng.h"
 #include "data/grid_synthetic.h"
@@ -18,6 +20,14 @@ GridFunctionContext Ctx(const data::GridBundle& bundle) {
   GridFunctionContext ctx;
   ctx.grid = bundle.grid;
   ctx.synopsis = bundle.synopsis;
+  return ctx;
+}
+
+// A charged lookup: the function memoizes its rectangle bounds and saves
+// them at fails (uncharged functions read the synopsis directly).
+GridFunctionContext ChargedCtx(const data::GridBundle& bundle) {
+  GridFunctionContext ctx = Ctx(bundle);
+  ctx.estimate_cost_ns = 1;
   return ctx;
 }
 
@@ -115,7 +125,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GridFunctionSoundnessTest,
 
 TEST(GridFunctionsTest, StateSaveRestoreRoundTrip) {
   const auto bundle = MakeBundle(64, 64, 31);
-  RectMaxFunction mx(Ctx(bundle));
+  RectMaxFunction mx(ChargedCtx(bundle));
   const cp::DomainBox box = {cp::IntDomain(10, 20), cp::IntDomain(5, 25),
                              cp::IntDomain(2, 4), cp::IntDomain(2, 4)};
   const Interval before = mx.Estimate(box);
@@ -137,6 +147,79 @@ TEST(GridFunctionsTest, BoundRectTighterThanRoot) {
                    cp::IntDomain(3, 3), cp::IntDomain(3, 3)});
   EXPECT_LE(root.lo, leaf.lo);
   EXPECT_GE(root.hi, leaf.hi);
+}
+
+bool SameBits(const Interval& a, const Interval& b) {
+  return std::memcmp(&a.lo, &b.lo, sizeof(double)) == 0 &&
+         std::memcmp(&a.hi, &b.hi, sizeof(double)) == 0;
+}
+
+bool IsZero(const cp::FunctionMemoStats& s) {
+  return s.hits == 0 && s.misses == 0 && s.evictions == 0 &&
+         s.restore_evictions == 0 && s.shared_hits == 0 &&
+         s.shared_misses == 0 && s.shared_evictions == 0;
+}
+
+// 2-D counterpart of FunctionsTest.DirectReadMatchesMemoizedBitForBit:
+// uncharged (direct synopsis read) and charged (memoized) estimates are
+// bit-identical for every rectangle kind, and the uncharged function
+// keeps no state.
+TEST(GridFunctionsTest, DirectReadMatchesMemoizedBitForBit) {
+  for (uint64_t seed : {5u, 23u}) {
+    const auto bundle = MakeBundle(48, 64, seed);
+    const auto make = [](const GridFunctionContext& ctx) {
+      std::vector<std::unique_ptr<cp::ConstraintFunction>> fns;
+      fns.push_back(std::make_unique<RectAvgFunction>(ctx));
+      fns.push_back(std::make_unique<RectMaxFunction>(ctx));
+      fns.push_back(std::make_unique<RectContrastFunction>(
+          ctx, RectContrastFunction::Side::kLeft, 3));
+      fns.push_back(std::make_unique<RectContrastFunction>(
+          ctx, RectContrastFunction::Side::kRight, 3));
+      return fns;
+    };
+    auto direct = make(Ctx(bundle));
+    auto memo = make(ChargedCtx(bundle));
+
+    // A small pool of boxes, drawn with replacement, so lookups repeat.
+    Rng rng(seed * 6151);
+    std::vector<cp::DomainBox> pool;
+    for (int i = 0; i < 30; ++i) {
+      const bool bound = rng.Bernoulli(0.3);
+      const int64_t y_lo = rng.UniformInt(0, 47);
+      const int64_t y_hi =
+          bound ? y_lo : rng.UniformInt(y_lo, std::min<int64_t>(47, y_lo + 12));
+      const int64_t x_lo = rng.UniformInt(0, 63);
+      const int64_t x_hi =
+          bound ? x_lo : rng.UniformInt(x_lo, std::min<int64_t>(63, x_lo + 12));
+      const int64_t h_lo = rng.UniformInt(1, 6);
+      const int64_t h_hi = bound ? h_lo : h_lo + rng.UniformInt(0, 6);
+      const int64_t w_lo = rng.UniformInt(1, 6);
+      const int64_t w_hi = bound ? w_lo : w_lo + rng.UniformInt(0, 6);
+      pool.push_back({cp::IntDomain(y_lo, y_hi), cp::IntDomain(x_lo, x_hi),
+                      cp::IntDomain(h_lo, h_hi), cp::IntDomain(w_lo, w_hi)});
+    }
+    for (int iter = 0; iter < 300; ++iter) {
+      const cp::DomainBox& box =
+          pool[static_cast<size_t>(rng.UniformInt(0, 29))];
+      for (size_t k = 0; k < direct.size(); ++k) {
+        const Interval a = direct[k]->Estimate(box);
+        const Interval b = memo[k]->Estimate(box);
+        ASSERT_TRUE(SameBits(a, b))
+            << memo[k]->name() << " seed=" << seed << " iter=" << iter
+            << " direct=" << a.ToString() << " memo=" << b.ToString();
+        EXPECT_EQ(direct[k]->SaveState(box), nullptr) << direct[k]->name();
+        if (iter % 50 == 49) {
+          auto state = memo[k]->SaveState(box);
+          memo[k]->ClearState();
+          if (state != nullptr) memo[k]->RestoreState(*state);
+        }
+      }
+    }
+    for (size_t k = 0; k < direct.size(); ++k) {
+      EXPECT_TRUE(IsZero(direct[k]->memo_stats())) << direct[k]->name();
+      EXPECT_GT(memo[k]->memo_stats().hits, 0) << memo[k]->name();
+    }
+  }
 }
 
 }  // namespace

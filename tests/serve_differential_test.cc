@@ -19,6 +19,7 @@
 #include "core/canonical.h"
 #include "core/fault.h"
 #include "core/refiner.h"
+#include "data/queries.h"
 #include "exec/engine_session.h"
 #include "exec/timer_wheel.h"
 #include "exec/worker_pool.h"
@@ -298,6 +299,60 @@ TEST(ServeDifferential, MetricsAndTraceEndpointsServeCompletedQueries) {
   EXPECT_NE(missing.status().message().find(
                 "no completed query with id 'nope'"),
             std::string::npos);
+
+  server.Stop();
+}
+
+// A reply too large for one frame — here the Chrome trace of an
+// over-constrained query on a waveform, well over kMaxFramePayload — is
+// answered with ERROR code=too_large carrying the request's id instead of
+// being dropped (which left the client blocked forever), and the
+// connection keeps serving later requests.
+TEST(ServeDifferential, OversizedReplyIsAnErrorAndTheConnectionSurvives) {
+  Result<data::DatasetBundle> bundle =
+      data::MakeWaveformDataset(int64_t{1} << 16, 5);
+  ASSERT_TRUE(bundle.ok());
+  Server server;
+  ASSERT_TRUE(server.Start().ok());
+  ASSERT_TRUE(server.RegisterDataset("wave", bundle.value()).ok());
+  Client client;
+  ASSERT_TRUE(client.Connect(server.port()).ok());
+  ASSERT_TRUE(client.Hello("obs").ok());
+
+  Frame query;
+  query.type = frame::kQuery;
+  query.Set("id", std::string("big"));
+  query.Set("dataset", std::string("wave"));
+  query.Set("inst", static_cast<int64_t>(4));
+  query.Set("trace", std::string("1"));
+  query.body =
+      "k 10\nvar x 8 65511\nvar lx 8 16\n"
+      "avg x lx in 150 200 range 50 250\n"
+      "contrast_left x lx 8 in 122 inf range 0 200\n"
+      "contrast_right x lx 8 in 122 inf range 0 200\n";
+  Result<QueryRun> run = client.RunQuery(query);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+
+  Frame fetch;
+  fetch.type = frame::kTrace;
+  fetch.Set("id", std::string("big"));
+  ASSERT_TRUE(client.Send(fetch).ok());
+  Result<Frame> reply = client.Receive();
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_EQ(reply.value().type, frame::kError) << reply.value().body.size();
+  ASSERT_NE(reply.value().Get("id"), nullptr);
+  EXPECT_EQ(*reply.value().Get("id"), "big");
+  ASSERT_NE(reply.value().Get("code"), nullptr);
+  EXPECT_EQ(*reply.value().Get("code"), "too_large");
+  EXPECT_NE(reply.value().body.find("exceeds limit " +
+                                    std::to_string(kMaxFramePayload)),
+            std::string::npos)
+      << reply.value().body;
+
+  // The same connection still answers the next request.
+  Result<std::string> metrics = client.FetchMetrics("big");
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  EXPECT_NE(metrics.value().find("query=\"big\""), std::string::npos);
 
   server.Stop();
 }

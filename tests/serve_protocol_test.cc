@@ -244,6 +244,55 @@ TEST(ServeProtocol, FinishReportsTruncatedStream) {
                               " unconsumed bytes inside a frame");
 }
 
+// Codec symmetry: the decoder accepts exactly the header tokens the
+// encoder accepts. A '\r' inside a type, key or value (a CRLF-terminated
+// header, say) is rejected by both with the same message; every accepted
+// payload survives decode -> encode -> decode unchanged, byte for byte.
+TEST(ServeProtocol, DecoderRejectsExactlyWhatEncoderRejects) {
+  const std::string kHeaders[] = {
+      "QU\rEY id=1", "QUERY i\rd=1",  "QUERY id=1\r",     "\rQUERY",
+      "QUERY id=a=b", "QUERY id=\t1", "RESULT id=q seq=7", "TRACE id=\xff",
+  };
+  for (const std::string& header : kHeaders) {
+    const std::string payload = header + "\nbody\r\n";
+    // The frame the header spells, split the way the grammar reads it.
+    Frame spelled;
+    spelled.body = "body\r\n";
+    size_t pos = 0;
+    while (pos <= header.size()) {
+      size_t sp = header.find(' ', pos);
+      if (sp == std::string::npos) sp = header.size();
+      const std::string token = header.substr(pos, sp - pos);
+      if (spelled.type.empty()) {
+        spelled.type = token;
+      } else {
+        const size_t eq = token.find('=');
+        spelled.attrs.emplace_back(token.substr(0, eq), token.substr(eq + 1));
+      }
+      pos = sp + 1;
+    }
+
+    Frame decoded;
+    const Status parsed = ParseFramePayload(payload, &decoded);
+    const Result<std::string> encoded = EncodeFrame(spelled);
+    ASSERT_EQ(parsed.ok(), encoded.ok()) << header;
+    if (!parsed.ok()) {
+      EXPECT_EQ(parsed.message(), encoded.status().message()) << header;
+      EXPECT_NE(parsed.message().find("contains whitespace"),
+                std::string::npos)
+          << header;
+      continue;
+    }
+    EXPECT_TRUE(decoded == spelled) << header;
+    const Result<std::string> reencoded = EncodeFrame(decoded);
+    ASSERT_TRUE(reencoded.ok()) << header;
+    EXPECT_EQ(reencoded.value().substr(4), payload) << header;
+    Frame again;
+    ASSERT_TRUE(ParseFramePayload(reencoded.value().substr(4), &again).ok());
+    EXPECT_TRUE(again == decoded) << header;
+  }
+}
+
 // The fragmentation sweep: a three-frame stream split at every byte
 // boundary into two feeds must decode identically to the one-shot feed.
 // This is the property that makes the reader safe over real sockets,
